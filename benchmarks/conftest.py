@@ -7,7 +7,9 @@ to ``benchmarks/results/<name>.txt`` so the output survives pytest's
 capture.
 
 Scale is controlled by ``REPRO_SCALE`` (default 0.08 ≈ 10,500 objects
-per map); see DESIGN.md for why the figure *shapes* are scale-invariant.
+per map; see the README's "Reproducing the paper").  The benchmarks
+assert each figure's qualitative *shape*, not the paper's absolute
+numbers, so the reduced default scale suffices.
 """
 
 from __future__ import annotations

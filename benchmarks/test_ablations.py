@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design decisions DESIGN.md calls out.
+"""Ablation benchmarks for the cluster organization's design decisions.
 
 These go beyond the paper's figures: each ablation isolates one design
 choice of the cluster organization and quantifies it.
@@ -165,7 +165,7 @@ def test_ablation_slm_gap(ctx, benchmark, record_table):
         org = build_cluster(ctx, "C-1")
         request_sets: list[list[int]] = []
         for window in ctx.windows("C-1", 1e-4):
-            for leaf, entries in org.tree.window_leaves(window):
+            for leaf, entries, _rects in org.tree.window_leaves(window):
                 unit = leaf.tag
                 if unit is None:
                     continue

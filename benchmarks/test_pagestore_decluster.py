@@ -139,7 +139,7 @@ def test_pagestore_adapter_matches_dedicated_reader(ctx, benchmark, record_table
             expected_total = 0.0
             for window in windows:
                 per_disk = [0.0] * n_disks
-                for leaf, entries in org.tree.window_leaves(window):
+                for leaf, entries, _rects in org.tree.window_leaves(window):
                     unit = leaf.tag
                     if unit is None or not entries:
                         continue

@@ -22,6 +22,8 @@ Section 5.3.1.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.policy import ClusterPolicy
 from repro.core.techniques import (
     TECHNIQUES,
@@ -43,8 +45,8 @@ from repro.rtree.capacity import CountOrByteCapacity
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
-from repro.rtree.rstar import RStarTree
-from repro.storage.base import QueryResult, SpatialOrganization
+from repro.rtree.rstar import LeafGroup, RStarTree
+from repro.storage.base import SpatialOrganization
 
 __all__ = ["ClusterOrganization"]
 
@@ -53,6 +55,7 @@ class ClusterOrganization(SpatialOrganization):
     """Global clustering via per-data-page cluster units."""
 
     name = "cluster"
+    plan_per_group = True
 
     def __init__(
         self,
@@ -341,74 +344,46 @@ class ClusterOrganization(SpatialOrganization):
         avg_size = self._total_object_bytes / count
         return avg_size / self.page_size + 0.5
 
-    def _plan_group(
-        self,
-        plan: AccessPlan,
-        leaf: Node,
-        entries: list[Entry],
-        window: Rect | None,
-        selective: bool,
-        candidates: list[SpatialObject],
-    ) -> None:
-        """Schedule one data-page group onto ``plan`` — oversize extents
-        first, then the cluster unit under the configured technique —
-        appending the candidate objects in request order."""
-        in_unit: list[int] = []
-        for entry in entries:
-            assert entry.oid is not None
-            extent = self._oversize.get(entry.oid)
-            if extent is not None:
-                plan.read_extent(extent)
-                candidates.append(self.objects[entry.oid])
-            else:
-                in_unit.append(entry.oid)
-        if in_unit:
-            unit: ClusterUnit | None = leaf.tag
-            if unit is None:
-                raise StorageError(
-                    f"data page {leaf.node_id} has objects but no cluster unit"
-                )
-            self._read_unit(plan, unit, in_unit, leaf, window, selective)
-            candidates.extend(self.objects[oid] for oid in in_unit)
-
-    def _retrieve(
-        self,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window: Rect | None = None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Emit one declarative access plan per data-page group and
-        submit it to the pool's scheduler.  Request order matches the
-        historical imperative chain, so the default sync scheduler
-        prices identically."""
-        candidates: list[SpatialObject] = []
-        for leaf, entries in groups:
-            plan = AccessPlan("cluster.retrieve")
-            self._plan_group(plan, leaf, entries, window, selective, candidates)
-            if plan:
-                self.pool.submit(plan)
-        return candidates
-
     def _plan_retrieve(
         self,
         plan: AccessPlan,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window: Rect | None = None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Batch-path variant: all groups append to the caller's merged
-        plan, same requests in the same order as :meth:`_retrieve` (the
-        technique planners draw chain ids from the shared plan, keeping
-        continuation runs distinct).  The per-group ``plan.extent``
-        prefetch hint degenerates to the last group's unit on a merged
-        plan, which is why the batch path requires a prefetcher-free
-        pool (see ``SpatialOrganization._batchable``)."""
-        candidates: list[SpatialObject] = []
-        for leaf, entries in groups:
-            self._plan_group(plan, leaf, entries, window, selective, candidates)
-        return candidates
+        groups: list[LeafGroup],
+        window: Rect,
+        selective: bool,
+        candidates: list[SpatialObject],
+        rows: list[np.ndarray],
+    ) -> None:
+        """Schedule each data-page group — oversize extents first, then
+        the cluster unit under the configured technique — appending the
+        candidates in request order.  On the batch path's merged plan
+        the technique planners draw chain ids from the shared plan,
+        keeping continuation runs distinct, and the per-group
+        ``plan.extent`` prefetch hint degenerates to the last group's
+        unit, which is why that path requires a prefetcher-free pool
+        (see ``SpatialOrganization._batchable``)."""
+        oversize = self._oversize
+        for leaf, entries, rects in groups:
+            oids = [e.oid for e in entries]
+            big = oversize.keys() & oids if oversize else None
+            if big:
+                first = [i for i, oid in enumerate(oids) if oid in big]
+                rest = [i for i, oid in enumerate(oids) if oid not in big]
+                for i in first:
+                    plan.read_extent(oversize[oids[i]])
+                in_unit = [oids[i] for i in rest]
+                oids = [oids[i] for i in first + rest]
+                rects = rects[first + rest]
+            else:
+                in_unit = oids
+            if in_unit:
+                unit: ClusterUnit | None = leaf.tag
+                if unit is None:
+                    raise StorageError(
+                        f"data page {leaf.node_id} has objects but no cluster unit"
+                    )
+                self._read_unit(plan, unit, in_unit, leaf, window, selective)
+            candidates.extend(map(self.objects.__getitem__, oids))
+            rows.append(rects)
 
     def _read_unit(
         self,

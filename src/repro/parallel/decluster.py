@@ -126,7 +126,7 @@ class ParallelClusterReader:
         groups = self.org.tree.window_leaves(window)
         snapshot = self.store.snapshot()
         units_read = 0
-        for leaf, entries in groups:
+        for leaf, entries, _rects in groups:
             unit: ClusterUnit | None = leaf.tag
             if unit is None or not entries:
                 continue

@@ -50,6 +50,10 @@ __all__ = ["RStarTree"]
 
 LeafSplitHandler = Callable[[Node, Node], None]
 
+LeafGroup = tuple[Node, list[Entry], np.ndarray]
+"""One data page of a query's filter result: the leaf, its matching
+entries and their ``(k, 4)`` float64 rect rows, in entry order."""
+
 
 class RStarTree:
     """A dynamic R*-tree over 2-d rectangles.
@@ -496,12 +500,12 @@ class RStarTree:
 
     def window_leaves_batch(
         self, windows: list[Rect]
-    ) -> tuple[FlatTree, list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]] | None:
+    ) -> list[tuple[list[Node], list[LeafGroup]]] | None:
         """Batched, *unpriced* form of :meth:`window_leaves`: per query a
-        triple ``(visited_nodes, groups, hit_entry_ids)`` where
-        ``visited_nodes`` is the exact page-visit order, ``groups``
-        equals ``window_leaves(window)`` and ``hit_entry_ids`` indexes
-        the snapshot's entry arrays (for vectorized refinement).
+        pair ``(visited_nodes, groups)`` where ``visited_nodes`` is the
+        exact page-visit order and ``groups`` equals
+        ``window_leaves(window)`` (hit rows taken from the snapshot's
+        entry matrix, bit-identical to the nodes' cached ones).
 
         The caller prices the visits itself (the organizations merge
         them into their per-query access plans).  Returns ``None`` in
@@ -510,44 +514,45 @@ class RStarTree:
         if not kernels.vectorized():
             return None
         flat = self.flat_snapshot()
-        batch = flat_window_query_batch(flat, windows)
-        return flat, self._group_batch(flat, batch)
+        return self._group_batch(flat, flat_window_query_batch(flat, windows))
 
     def point_leaves_batch(
         self, points: list[tuple[float, float]]
-    ) -> tuple[FlatTree, list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]] | None:
+    ) -> list[tuple[list[Node], list[LeafGroup]]] | None:
         """Point-query counterpart of :meth:`window_leaves_batch` (the
         single-query path runs ``window_leaves`` on a degenerate rect)."""
         if not kernels.vectorized():
             return None
         flat = self.flat_snapshot()
-        batch = flat_point_query_batch(flat, points)
-        return flat, self._group_batch(flat, batch)
+        return self._group_batch(flat, flat_point_query_batch(flat, points))
 
     @staticmethod
     def _group_batch(flat: FlatTree, batch: FlatBatch):
         nodes = flat.nodes
         entries = flat.entries
+        entry_rect = flat.entry_rect
         per_query = []
         for i in range(batch.n_queries):
             visited = [nodes[n] for n in batch.visits(i).tolist()]
             hit = batch.hits(i)
-            groups: list[tuple[Node, list[Entry]]] = []
-            bucket: list[Entry] | None = None
-            previous = -1
+            owners = batch.hit_owners(i)
             # Hits are sorted by global entry id, so owners come in
             # nondecreasing runs — one run per matched leaf, in visit
             # order, entries ascending within it (= window_leaves).
-            for e, owner in zip(
-                hit.tolist(), batch.hit_owners(i).tolist()
-            ):
-                if owner != previous:
-                    bucket = []
-                    groups.append((nodes[owner], bucket))
-                    previous = owner
-                assert bucket is not None
-                bucket.append(entries[e])
-            per_query.append((visited, groups, hit))
+            cuts = ((owners[1:] != owners[:-1]).nonzero()[0] + 1).tolist()
+            hit_list = hit.tolist()
+            rects = entry_rect[hit]
+            groups: list[LeafGroup] = []
+            bounds = [0] + cuts + [len(hit_list)] if hit_list else []
+            for lo, hi in zip(bounds, bounds[1:]):
+                groups.append(
+                    (
+                        nodes[int(owners[lo])],
+                        [entries[e] for e in hit_list[lo:hi]],
+                        rects[lo:hi],
+                    )
+                )
+            per_query.append((visited, groups))
         return per_query
 
     def _window_query_scalar(self, window: Rect) -> list[Entry]:
@@ -609,28 +614,34 @@ class RStarTree:
                         stack.append(entry.child)
         return result
 
-    def window_leaves(self, window: Rect) -> list[tuple[Node, list[Entry]]]:
-        """Per data page, the entries matching ``window`` — the unit the
-        cluster-organization read techniques operate on (Section 5.4).
-        Only pages with at least one match are returned; visited pages
-        are priced through the pager."""
+    def window_leaves(self, window: Rect) -> list[LeafGroup]:
+        """Per data page, the entries matching ``window`` and their
+        ``(k, 4)`` rect rows — the unit the cluster-organization read
+        techniques operate on (Section 5.4); the rows feed the
+        vectorized refinement.  Only pages with at least one match are
+        returned; visited pages are priced through the pager."""
         if not kernels.vectorized():
             return self._window_leaves_scalar(window)
         qvec = kernels.window_qvec(window)
-        groups: list[tuple[Node, list[Entry]]] = []
+        groups: list[LeafGroup] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             self._read(node)
             if not node.entries:
                 continue
-            hits = kernels.qvec_mask(
-                node.query_matrix(), qvec
-            ).nonzero()[0].tolist()
+            mask = kernels.qvec_mask(node.query_matrix(), qvec)
+            hits = mask.nonzero()[0].tolist()
             entries = node.entries
             if node.is_leaf:
                 if hits:
-                    groups.append((node, [entries[i] for i in hits]))
+                    groups.append(
+                        (
+                            node,
+                            [entries[i] for i in hits],
+                            node.rect_matrix()[mask],
+                        )
+                    )
             else:
                 for i in hits:
                     child = entries[i].child
@@ -638,18 +649,26 @@ class RStarTree:
                     stack.append(child)
         return groups
 
-    def _window_leaves_scalar(
-        self, window: Rect
-    ) -> list[tuple[Node, list[Entry]]]:
-        groups: list[tuple[Node, list[Entry]]] = []
+    def _window_leaves_scalar(self, window: Rect) -> list[LeafGroup]:
+        groups: list[LeafGroup] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             self._read(node)
             if node.is_leaf:
-                matches = [e for e in node.entries if e.rect.intersects(window)]
-                if matches:
-                    groups.append((node, matches))
+                hits = [
+                    i
+                    for i, e in enumerate(node.entries)
+                    if e.rect.intersects(window)
+                ]
+                if hits:
+                    groups.append(
+                        (
+                            node,
+                            [node.entries[i] for i in hits],
+                            node.rect_matrix()[hits],
+                        )
+                    )
             else:
                 for entry in node.entries:
                     if entry.rect.intersects(window):

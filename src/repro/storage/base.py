@@ -20,7 +20,11 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from repro.pagestore.store import PageStore
@@ -38,7 +42,7 @@ from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
 from repro.iosched.scheduler import SyncScheduler
 from repro.rtree.pager import NodePager
-from repro.rtree.rstar import RStarTree
+from repro.rtree.rstar import LeafGroup, RStarTree
 
 __all__ = ["QueryResult", "SpatialOrganization"]
 
@@ -80,6 +84,121 @@ class QueryResult:
         if units == 0:
             return float("inf")
         return self.io.total_ms / units
+
+
+_SIZE = attrgetter("size_bytes")
+
+
+class _Refinement:
+    """The refinement step shared by single and batched queries.
+
+    Each query hands in its candidates (in read order); :meth:`run`
+    evaluates the queued exact tests and fills every result's answers
+    in candidate order.  Map polylines have a handful of segments each,
+    far below the per-call vectorization crossover, so their tests are
+    concatenated across candidates — and across all queries of a batch
+    — into one :func:`polylines_intersect_rects` call; polygon point
+    tests run as one :meth:`Polygon.contains_points` call per distinct
+    polygon; other geometries keep their scalar predicate.
+    """
+
+    __slots__ = ("_answers", "_line_coords", "_line_tests", "_polygons")
+
+    def __init__(self):
+        self._answers: list[tuple[QueryResult, list[SpatialObject], list]] = []
+        self._line_coords: list[np.ndarray] = []
+        # (decisions, slots, rect bounds) per query with polyline tests
+        self._line_tests: list[tuple[list, list[int], tuple]] = []
+        # oid -> (polygon, xs, ys, [(decisions, slot)])
+        self._polygons: dict[int, tuple[Polygon, list, list, list]] = {}
+
+    def window(
+        self,
+        result: QueryResult,
+        window: Rect,
+        candidates: list[SpatialObject],
+        rows: list[np.ndarray],
+    ) -> None:
+        if not candidates:
+            return
+        mbrs = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        # Rect.contains over all candidate MBRs at once: an object whose
+        # MBR lies inside the window necessarily shares points with it.
+        inside = (
+            (window.xmin <= mbrs[:, 0])
+            & (window.ymin <= mbrs[:, 1])
+            & (mbrs[:, 2] <= window.xmax)
+            & (mbrs[:, 3] <= window.ymax)
+        )
+        misses = (~inside).nonzero()[0].tolist()
+        if not misses:
+            result.objects = candidates
+            return
+        result.exact_tests = len(misses)
+        keep = inside.tolist()
+        lines: list[int] = []
+        coords = self._line_coords
+        for slot in misses:
+            obj = candidates[slot]
+            geometry = obj.geometry
+            if isinstance(geometry, Polyline):
+                lines.append(slot)
+                coords.append(geometry.coords())
+            else:
+                keep[slot] = obj.intersects_rect(window)
+        if lines:
+            self._line_tests.append((keep, lines, window.as_tuple()))
+        self._answers.append((result, candidates, keep))
+
+    def point(
+        self, result: QueryResult, x: float, y: float, candidates: list[SpatialObject]
+    ) -> None:
+        if not candidates:
+            return
+        result.exact_tests = len(candidates)
+        keep = [False] * len(candidates)
+        lines: list[int] = []
+        coords = self._line_coords
+        for slot, obj in enumerate(candidates):
+            geometry = obj.geometry
+            if isinstance(geometry, Polygon):
+                test = self._polygons.get(obj.oid)
+                if test is None:
+                    test = self._polygons[obj.oid] = (geometry, [], [], [])
+                test[1].append(x)
+                test[2].append(y)
+                test[3].append((keep, slot))
+            elif isinstance(geometry, Polyline):
+                lines.append(slot)
+                coords.append(geometry.coords())
+            else:
+                keep[slot] = obj.contains_point(x, y)
+        if lines:
+            # A point test is a degenerate rect intersection.
+            self._line_tests.append((keep, lines, (x, y, x, y)))
+        self._answers.append((result, candidates, keep))
+
+    def run(self) -> None:
+        """Evaluate the queued tests and fill in the answers."""
+        if self._line_coords:
+            tests = self._line_tests
+            rects = np.repeat(
+                np.array([bounds for _, _, bounds in tests], dtype=np.float64),
+                [len(slots) for _, slots, _ in tests],
+                axis=0,
+            )
+            verdicts = iter(
+                polylines_intersect_rects(self._line_coords, rects).tolist()
+            )
+            for keep, slots, _ in tests:
+                for slot, verdict in zip(slots, verdicts):
+                    keep[slot] = verdict
+        for polygon, xs, ys, sinks in self._polygons.values():
+            verdicts = polygon.contains_points(xs, ys)
+            for (keep, slot), verdict in zip(sinks, verdicts.tolist()):
+                keep[slot] = verdict
+        for result, candidates, keep in self._answers:
+            result.objects = list(compress(candidates, keep))
 
 
 class SpatialOrganization(abc.ABC):
@@ -172,40 +291,32 @@ class SpatialOrganization(abc.ABC):
         """Physically place a new object; returns the entry payload
         (the organization's locator for the exact representation)."""
 
+    #: True when single-query retrieval submits one access plan per
+    #: data-page group (the cluster organization's unit reads); False
+    #: submits one plan per query.
+    plan_per_group: bool = False
+
     @abc.abstractmethod
-    def _retrieve(
+    def _plan_retrieve(
         self,
-        groups: list,
-        result: QueryResult,
+        plan: AccessPlan,
+        groups: list[LeafGroup],
         window: Rect,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Transfer the exact representations of the filter candidates
-        (``groups`` is the output of ``tree.window_leaves``), pricing
-        the disk traffic; returns the candidate objects in read order.
+        selective: bool,
+        candidates: list[SpatialObject],
+        rows: list[np.ndarray],
+    ) -> None:
+        """Append the transfer requests for the exact representations
+        of the filter candidates (``groups`` is the output of
+        ``tree.window_leaves``) to ``plan``; append the candidate
+        objects to ``candidates`` in request order and their MBR rows,
+        in the same order, to ``rows`` (one array per group).
 
         ``window`` is the query region (techniques like the geometric
         threshold need it); ``selective`` marks point queries, which
         access single objects through the cluster unit's relative
         addresses instead of bulk-reading units (Sections 4.2.2/5.5).
         """
-
-    @abc.abstractmethod
-    def _plan_retrieve(
-        self,
-        plan: AccessPlan,
-        groups: list,
-        result: QueryResult,
-        window: Rect,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Like :meth:`_retrieve`, but append the transfer requests to
-        the caller's ``plan`` instead of submitting plans — the batch
-        query path merges a query's node reads and object retrieval
-        into one access plan.  Request order must match
-        :meth:`_retrieve` exactly (plan boundaries do not affect the
-        sync scheduler's pricing, so the merged plan prices
-        identically)."""
 
     @abc.abstractmethod
     def occupied_pages(self) -> int:
@@ -299,47 +410,50 @@ class SpatialOrganization(abc.ABC):
         return self._construction_io
 
     # ------------------------------------------------------------------
-    # queries
+    # queries: filter, retrieval, refinement (Section 2)
     # ------------------------------------------------------------------
     def window_query(self, window: Rect) -> QueryResult:
         """Filter + refinement window query (Section 2)."""
-        result = QueryResult()
-        before = self.disk.stats()
-        groups = self.tree.window_leaves(window)
-        candidates = self._retrieve(groups, result, window)
-        result.candidates = len(candidates)
-        result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-        for obj in candidates:
-            # Refinement shortcut: an object whose MBR lies inside the
-            # window necessarily shares points with it.
-            if window.contains(obj.mbr):
-                result.objects.append(obj)
-            else:
-                result.exact_tests += 1
-                if obj.intersects_rect(window):
-                    result.objects.append(obj)
-        result.io = self.disk.stats() - before
-        return result
+        return self._window_queries([window], None)[0]
 
     def point_query(self, x: float, y: float) -> QueryResult:
         """Filter + refinement point query (Section 2)."""
-        result = QueryResult()
-        before = self.disk.stats()
-        point = Rect(x, y, x, y)
-        groups = self.tree.window_leaves(point)
-        candidates = self._retrieve(groups, result, point, selective=True)
-        result.candidates = len(candidates)
-        result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-        for obj in candidates:
-            result.exact_tests += 1
-            if obj.contains_point(x, y):
-                result.objects.append(obj)
-        result.io = self.disk.stats() - before
-        return result
+        return self._point_queries([(x, y)], None)[0]
 
-    # ------------------------------------------------------------------
-    # batched queries (whole-tree flat traversal + merged access plans)
-    # ------------------------------------------------------------------
+    def window_query_batch(self, windows: list[Rect]) -> list[QueryResult]:
+        """Run a window workload through the flat batch path: one
+        whole-tree traversal filters all queries at once, then each
+        query submits a *single* merged access plan (its node reads
+        followed by its object transfers); the exact polyline tests of
+        the whole batch run as one refinement kernel call.
+
+        Element ``i`` equals ``window_query(windows[i])`` exactly —
+        answers, candidate counts and per-query I/O statistics — the
+        queries just spend far less Python time getting there.  When
+        the flat path cannot guarantee that (scalar-kernel mode, a
+        swapped-in caching/prefetching pool, a non-sync scheduler), the
+        queries filter and retrieve one by one.
+        """
+        batched = (
+            self.tree.window_leaves_batch(windows)
+            if windows and self._batchable()
+            else None
+        )
+        return self._window_queries(windows, batched)
+
+    def point_query_batch(
+        self, points: list[tuple[float, float]]
+    ) -> list[QueryResult]:
+        """Batched point queries; element ``i`` equals
+        ``point_query(*points[i])`` exactly (see
+        :meth:`window_query_batch`)."""
+        batched = (
+            self.tree.point_leaves_batch(points)
+            if points and self._batchable()
+            else None
+        )
+        return self._point_queries(points, batched)
+
     def _batchable(self) -> bool:
         """True when the merged-plan batch path prices bit-identically
         to per-query execution: the measurement-mode pager must share
@@ -356,176 +470,75 @@ class SpatialOrganization(abc.ABC):
         # Exact type check: OverlapScheduler subclasses SyncScheduler.
         return type(getattr(pool, "scheduler", None)) is SyncScheduler
 
-    def window_query_batch(self, windows: list[Rect]) -> list[QueryResult]:
-        """Run a window workload through the flat batch path: one
-        whole-tree traversal filters all queries at once, then each
-        query submits a *single* merged access plan (its node reads
-        followed by its object transfers) and refines with vectorized
-        containment masks.
-
-        Element ``i`` equals ``window_query(windows[i])`` exactly —
-        answers, candidate counts and per-query I/O statistics — the
-        queries just spend far less Python time getting there.  When
-        the flat path cannot guarantee that (scalar-kernel mode, a
-        swapped-in caching/prefetching pool, a non-sync scheduler), the
-        workload falls back to looping :meth:`window_query`.
-        """
-        batched = (
-            self.tree.window_leaves_batch(windows)
-            if windows and self._batchable()
-            else None
-        )
-        if batched is None:
-            return [self.window_query(window) for window in windows]
-        flat, per_query = batched
-        entry_rect = flat.entry_rect
-        entry_oid = flat.entry_oid
-        results: list[QueryResult] = []
-        assembly: list[tuple[QueryResult, list[SpatialObject], list]] = []
-        # Exact polyline tests deferred across the *whole batch*: map
-        # polylines have a handful of segments each, far below the
-        # per-call vectorization crossover, so only the cross-query
-        # concatenation makes the refinement kernel pay off.
-        line_coords: list = []
-        line_rects: list[tuple[float, float, float, float]] = []
-        line_sinks: list[tuple[list, int]] = []
-        for window, (visited, groups, hit_rows) in zip(windows, per_query):
-            result = QueryResult()
-            before = self.disk.stats()
-            plan = AccessPlan(f"{self.name}.retrieve")
-            self._query_pager.plan_reads(visited, plan)
-            candidates = self._plan_retrieve(
-                plan, groups, result, window, selective=False
-            )
-            if plan:
-                self.pool.submit(plan)
-            result.candidates = len(candidates)
-            result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-            # Refinement is pure CPU — zero disk traffic — so taking
-            # the stats diff before it matches window_query exactly.
-            result.io = self.disk.stats() - before
-            if len(hit_rows):
-                rects = entry_rect[hit_rows]
-                # Vectorized Rect.contains: data-entry rects are the
-                # objects' MBRs (they never mutate after insertion).
-                inside = (
-                    (window.xmin <= rects[:, 0])
-                    & (window.ymin <= rects[:, 1])
-                    & (rects[:, 2] <= window.xmax)
-                    & (rects[:, 3] <= window.ymax)
-                )
-                contained = dict(
-                    zip(entry_oid[hit_rows].tolist(), inside.tolist())
-                )
-            else:
-                contained = {}
-            decisions: list = []
-            for obj in candidates:
-                if contained[obj.oid]:
-                    decisions.append(True)
-                    continue
-                result.exact_tests += 1
-                geometry = obj.geometry
-                if isinstance(geometry, Polyline) and len(geometry.vertices) > 1:
-                    decisions.append(None)
-                    line_sinks.append((decisions, len(decisions) - 1))
-                    line_coords.append(geometry.coords())
-                    line_rects.append(
-                        (window.xmin, window.ymin, window.xmax, window.ymax)
-                    )
-                else:
-                    decisions.append(obj.intersects_rect(window))
-            assembly.append((result, candidates, decisions))
+    def _window_queries(self, windows: list[Rect], batched) -> list[QueryResult]:
+        refinement = _Refinement()
+        results = []
+        for window, leaves in zip(windows, batched or repeat(None)):
+            result, candidates, rows = self._fetch(window, False, leaves)
+            refinement.window(result, window, candidates, rows)
             results.append(result)
-        if line_coords:
-            verdicts = polylines_intersect_rects(line_coords, line_rects)
-            for (decisions, slot), verdict in zip(line_sinks, verdicts):
-                decisions[slot] = bool(verdict)
-        for result, candidates, decisions in assembly:
-            result.objects.extend(
-                obj for obj, keep in zip(candidates, decisions) if keep
-            )
+        refinement.run()
         return results
 
-    def point_query_batch(
-        self, points: list[tuple[float, float]]
+    def _point_queries(
+        self, points: list[tuple[float, float]], batched
     ) -> list[QueryResult]:
-        """Batched point queries; element ``i`` equals
-        ``point_query(*points[i])`` exactly.  Beyond the shared flat
-        traversal and merged per-query plans, the refinement step
-        defers all polygon membership tests (one
-        :meth:`~repro.geometry.polygon.Polygon.contains_points` batch
-        per distinct polygon) and all polyline hit tests (one
-        :func:`~repro.geometry.intersect.polylines_intersect_rects`
-        batch over every pending pair — a point test is a degenerate
-        rect intersection); other geometries keep their scalar
-        predicate.
-        """
-        batched = (
-            self.tree.point_leaves_batch(points)
-            if points and self._batchable()
-            else None
-        )
-        if batched is None:
-            return [self.point_query(x, y) for x, y in points]
-        _flat, per_query = batched
-        pending: list[tuple[QueryResult, list[SpatialObject], list[bool]]] = []
-        # obj.oid -> (polygon, xs, ys, decision sinks): one batched
-        # membership test per distinct polygon across the whole batch.
-        poly_tests: dict[
-            int, tuple[Polygon, list[float], list[float], list[tuple[list[bool], int]]]
-        ] = {}
-        line_coords: list = []
-        line_rects: list[tuple[float, float, float, float]] = []
-        line_sinks: list[tuple[list[bool], int]] = []
-        for (x, y), (visited, groups, _hit_rows) in zip(points, per_query):
-            result = QueryResult()
-            before = self.disk.stats()
-            point = Rect(x, y, x, y)
-            plan = AccessPlan(f"{self.name}.retrieve")
-            self._query_pager.plan_reads(visited, plan)
-            candidates = self._plan_retrieve(
-                plan, groups, result, point, selective=True
-            )
+        refinement = _Refinement()
+        results = []
+        for (x, y), leaves in zip(points, batched or repeat(None)):
+            result, candidates, _rows = self._fetch(Rect(x, y, x, y), True, leaves)
+            refinement.point(result, x, y, candidates)
+            results.append(result)
+        refinement.run()
+        return results
+
+    def _retrieve(
+        self,
+        groups: list[LeafGroup],
+        window: Rect,
+        selective: bool,
+        candidates: list[SpatialObject],
+        rows: list[np.ndarray],
+    ) -> None:
+        """Single-query retrieval: submit :meth:`_plan_retrieve`'s
+        requests as one access plan per data-page group
+        (``plan_per_group``) or one per query."""
+        label = f"{self.name}.retrieve"
+        for chunk in [[g] for g in groups] if self.plan_per_group else [groups]:
+            plan = AccessPlan(label)
+            self._plan_retrieve(plan, chunk, window, selective, candidates, rows)
             if plan:
                 self.pool.submit(plan)
-            result.candidates = len(candidates)
-            result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-            result.io = self.disk.stats() - before
-            decisions = [False] * len(candidates)
-            for slot, obj in enumerate(candidates):
-                geometry = obj.geometry
-                if isinstance(geometry, Polygon):
-                    test = poly_tests.get(obj.oid)
-                    if test is None:
-                        test = (geometry, [], [], [])
-                        poly_tests[obj.oid] = test
-                    test[1].append(x)
-                    test[2].append(y)
-                    test[3].append((decisions, slot))
-                elif isinstance(geometry, Polyline) and len(geometry.vertices) > 1:
-                    line_sinks.append((decisions, slot))
-                    line_coords.append(geometry.coords())
-                    line_rects.append((x, y, x, y))
-                else:
-                    decisions[slot] = obj.contains_point(x, y)
-            pending.append((result, candidates, decisions))
-        if line_coords:
-            verdicts = polylines_intersect_rects(line_coords, line_rects)
-            for (decisions, slot), verdict in zip(line_sinks, verdicts):
-                decisions[slot] = bool(verdict)
-        for geometry, xs, ys, sinks in poly_tests.values():
-            verdicts = geometry.contains_points(xs, ys)
-            for (decisions, slot), verdict in zip(sinks, verdicts.tolist()):
-                decisions[slot] = verdict
-        results: list[QueryResult] = []
-        for result, candidates, decisions in pending:
-            result.exact_tests += len(candidates)
-            result.objects.extend(
-                obj for obj, keep in zip(candidates, decisions) if keep
-            )
-            results.append(result)
-        return results
+
+    def _fetch(self, rect: Rect, selective: bool, leaves):
+        """Filter and retrieval step of one query: the candidates in
+        read order, their MBR rows, and a result carrying the counts
+        and the query's I/O statistics (refinement is pure CPU, so the
+        statistics are final here).
+
+        ``leaves`` is the query's ``(visited, groups)`` from the flat
+        traversal — its node reads and object transfers go into one
+        merged plan (plan boundaries are pricing-neutral under the sync
+        scheduler) — or ``None`` to walk the tree, pricing node reads
+        as they happen, and :meth:`_retrieve` the objects."""
+        result = QueryResult()
+        before = self.disk.stats()
+        candidates: list[SpatialObject] = []
+        rows: list[np.ndarray] = []
+        if leaves is None:
+            groups = self.tree.window_leaves(rect)
+            self._retrieve(groups, rect, selective, candidates, rows)
+        else:
+            visited, groups = leaves
+            plan = AccessPlan(f"{self.name}.retrieve")
+            self._query_pager.plan_reads(visited, plan)
+            self._plan_retrieve(plan, groups, rect, selective, candidates, rows)
+            if plan:
+                self.pool.submit(plan)
+        result.io = self.disk.stats() - before
+        result.candidates = len(candidates)
+        result.bytes_retrieved = sum(map(_SIZE, candidates))
+        return result, candidates, rows
 
     # ------------------------------------------------------------------
     # buffer-pool wiring

@@ -385,7 +385,7 @@ class TestGroupedTransfers:
         objects = make_objects(120, seed=11)
         org = build_org("secondary", objects)
         groups = org.tree.window_leaves(Rect(0, 0, 10_000, 10_000))
-        leaf, entries = max(groups, key=lambda g: len(g[1]))
+        leaf, entries, _rects = max(groups, key=lambda g: len(g[1]))
         return org, leaf, entries
 
     def test_sync_scheduler_has_no_operation_scope(self):

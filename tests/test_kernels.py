@@ -86,8 +86,12 @@ class TestQueryOrderEquivalence:
                 scalar_groups = tree.window_leaves(window)
                 scalar_leaves = tree.matching_leaves(window)
             assert [
-                (node.node_id, matches) for node, matches in vector_groups
-            ] == [(node.node_id, matches) for node, matches in scalar_groups]
+                (node.node_id, matches, rows.tolist())
+                for node, matches, rows in vector_groups
+            ] == [
+                (node.node_id, matches, rows.tolist())
+                for node, matches, rows in scalar_groups
+            ]
             assert [n.node_id for n in vector_leaves] == [
                 n.node_id for n in scalar_leaves
             ]

@@ -127,13 +127,15 @@ class TestInsertQuery:
             tree.insert(i, r)
         window = Rect(100, 100, 400, 400)
         groups = tree.window_leaves(window)
-        flat = sorted(e.oid for _, es in groups for e in es)
+        flat = sorted(e.oid for _, es, _ in groups for e in es)
         want = sorted(e.oid for e in tree.window_query(window))
         assert flat == want
-        for leaf, entries in groups:
+        for leaf, entries, rects in groups:
             assert leaf.is_leaf and entries
-            for e in entries:
+            assert rects.shape == (len(entries), 4)
+            for e, row in zip(entries, rects.tolist()):
                 assert e in leaf.entries
+                assert tuple(row) == e.rect.as_tuple()
 
     def test_matching_leaves_consistent(self):
         rects = random_rects(200, seed=9)
@@ -142,7 +144,7 @@ class TestInsertQuery:
             tree.insert(i, r)
         window = Rect(0, 0, 300, 300)
         assert {n.node_id for n in tree.matching_leaves(window)} == {
-            n.node_id for n, _ in tree.window_leaves(window)
+            n.node_id for n, _, _ in tree.window_leaves(window)
         }
 
 
