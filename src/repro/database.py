@@ -440,9 +440,12 @@ class SpatialDatabase:
         open-loop sessions dispatch when they arrive whether or not the
         system kept up, closed-loop sessions pace themselves with think
         time.  Requires ``scheduler="overlap"``.  ``admission`` applies
-        an admission-control policy for this run only.  Returns a
-        :class:`~repro.workload.engine.TrafficReport` with per-class
-        latency percentiles and open-loop throughput.
+        an admission-control policy for this run only.  Under an
+        installed tracer (:func:`repro.obs.trace.tracing`) every session
+        gets a ``session`` span from its arrival with its operations'
+        spans beneath, exactly as :meth:`run_sessions` traces clients.
+        Returns a :class:`~repro.workload.engine.TrafficReport` with
+        per-class latency percentiles and open-loop throughput.
         """
         from repro.workload.engine import WorkloadEngine
 

@@ -236,16 +236,13 @@ class DiskModel:
         statistics are still accumulated with the scalar path's
         left-to-right float additions, so costs, stats, and the head
         position are bit-identical to the per-request loop.  Small
-        batches, traced models, and active observability sinks use the
-        scalar loop directly (per-request records keep their order).
+        batches and models recording :attr:`requests` use the scalar
+        loop directly.  An installed span tracer gets one device record
+        per run, in run order, whichever path priced the batch.
         """
         if not isinstance(runs, (list, tuple)):
             runs = list(runs)
-        if (
-            len(runs) < BATCH_MIN_RUNS
-            or self.trace
-            or _obs.ACTIVE is not None
-        ):
+        if len(runs) < BATCH_MIN_RUNS or self.trace:
             return self._price_runs_scalar(runs, continuation, kind)
         arr = np.asarray(runs, dtype=np.int64)
         starts = arr[:, 0]
@@ -290,6 +287,10 @@ class DiskModel:
         st.requests += n
         st.pages_transferred += int(npages.sum())
         self._head = int(starts[-1]) + int(npages[-1])
+        tracer = _obs.ACTIVE
+        if tracer is not None:
+            for (start, pages), cost in zip(runs, cost_list):
+                tracer.device(self, kind, start, pages, cost)
         return total
 
     def _price_runs_scalar(

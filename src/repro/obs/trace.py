@@ -254,7 +254,8 @@ class Tracer:
         """Record one priced device transfer.
 
         Called by :meth:`repro.disk.model.DiskModel._transfer` (and
-        ``charge``) whenever a tracer is installed.  In serial mode this
+        ``charge``, and the vectorized ``price_runs`` once per run)
+        whenever a tracer is installed.  In serial mode this
         also advances the tracer's cumulative clock — the serial timeline
         *is* the sum of priced work.  Inside an overlap request the
         record is buffered and later re-stamped by

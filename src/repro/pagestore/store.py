@@ -43,7 +43,6 @@ from repro.disk.model import (
     measure_costs,
 )
 from repro.disk.params import DiskParameters
-from repro.obs import trace as _obs
 from repro.errors import ConfigurationError
 from repro.pagestore.placement import PlacementPolicy, make_placement
 
@@ -216,23 +215,6 @@ class ShardedPageStore:
         caller's assertion that the arms involved are already
         positioned (Section 5.4.3 reads inside one cluster unit —
         units are pinned whole, so the assertion concerns one arm)."""
-        if _obs.ACTIVE is not None:
-            # Keep the historical per-fragment interleaving so the span
-            # tracer sees device records in issue order.
-            per_disk: dict[int, float] = {}
-            for start, npages in runs:
-                for disk, frag_start, frag_pages in self._fragments(start, npages):
-                    device = self.disks[disk]
-                    frag_continuation = True if disk in per_disk else continuation
-                    cost = getattr(device, kind)(
-                        frag_start, frag_pages, frag_continuation
-                    )
-                    per_disk[disk] = per_disk.get(disk, 0.0) + cost
-            if not per_disk:
-                return 0.0
-            response = max(per_disk.values())
-            self._response_ms += response
-            return response
         # Group each disk's fragments (in issue order) and price them as
         # one batch per device: the device's first fragment carries the
         # caller's continuation flag, follow-ups are continuations —

@@ -1,16 +1,21 @@
 """Batched workload execution over the shared buffer pool.
 
 :class:`~repro.workload.engine.WorkloadEngine` runs mixed operation
-streams (window/point queries, inserts, deletes, joins) against one
-organization with all page traffic flowing through a single
-:class:`~repro.buffer.pool.BufferPool`, and reports per-phase
-:class:`~repro.disk.model.DiskStats` plus pool hit rates.
-:func:`~repro.workload.streams.mixed_stream` builds deterministic
-paper-style streams, and :mod:`repro.workload.trace` persists streams
-as replayable JSONL traces.  The high-level entry points are
-:meth:`repro.database.SpatialDatabase.run_workload` and — for
-interleaved multi-client sessions over the I/O scheduler —
-:meth:`repro.database.SpatialDatabase.run_sessions`.
+streams (window/point queries, inserts, deletes, joins, reorganization
+rounds) against one organization with all page traffic flowing through
+a single :class:`~repro.buffer.pool.BufferPool`, and reports per-phase
+:class:`~repro.disk.model.DiskStats` plus pool hit rates.  Its three
+entry points — one stream (``run``), round-robin client sessions
+(``run_sessions``) and arrival-paced traffic (``run_traffic``) — share
+one event-heap operation loop, so accounting, admission and tracing
+behave the same in all three.  :func:`~repro.workload.streams.mixed_stream`
+builds deterministic paper-style streams,
+:func:`~repro.workload.traffic.make_traffic` generates traffic
+sessions, and :mod:`repro.workload.trace` persists streams as
+replayable JSONL traces.  The high-level entry points are
+:meth:`repro.database.SpatialDatabase.run_workload`,
+:meth:`~repro.database.SpatialDatabase.run_sessions` and
+:meth:`~repro.database.SpatialDatabase.run_traffic`.
 """
 
 from repro.workload.engine import (

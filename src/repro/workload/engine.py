@@ -1,34 +1,44 @@
 """The batched workload engine.
 
-Executes a mixed stream of operations — window queries, point queries,
-inserts, deletes and spatial joins — against one organization, with all
-page traffic routed through a single shared
+Executes mixed streams of operations — window queries, point queries,
+inserts, deletes, spatial joins and reorganization rounds — against one
+organization, with all page traffic routed through a single shared
 :class:`~repro.buffer.pool.BufferPool`.  This is the serving-path
 counterpart of the per-figure experiment drivers: instead of measuring
 one query type cold, it measures a *workload* warm, where tree pages,
 cluster units and object extents compete for the same frames (the
 Section 6.1 buffering regime, generalised beyond the join).
 
-Per operation kind the engine accumulates a :class:`PhaseStats` —
-operation count, result volume, pool hits/misses and a
-:class:`~repro.disk.model.DiskStats` delta — and finishes with a
-``flush`` phase that writes back the dirty frames through the pool's
-coalescing scheduler.  The result is a :class:`WorkloadReport`.
+Every run goes through one operation loop.  Its input is a list of
+sessions — a name, an accounting row, an operation list, an arrival
+time and a think time — and it pops one event heap of ready
+operations:
 
-:meth:`WorkloadEngine.run_sessions` generalises this to **concurrent
-client sessions**: several operation streams are interleaved
-round-robin (deterministically) over the one shared pool, and when the
-pool's I/O scheduler is the
-:class:`~repro.iosched.scheduler.OverlapScheduler`, every client's
-plans are timed on its own virtual-clock session — declustered disks
-service different clients concurrently, so the workload's makespan
-drops below the serial response time.  The result is a
-:class:`SessionsReport` with per-client timelines.
+* :meth:`WorkloadEngine.run` is one session (``main``);
+* :meth:`WorkloadEngine.run_sessions` interleaves client sessions
+  round-robin — the heap key is the turn number, so the order is
+  deterministic client order;
+* :meth:`WorkloadEngine.run_traffic` paces generated sessions by
+  arrival and think time — the heap key is the ready time, and an
+  admission-throttled operation re-enters the heap at its admitted
+  time.
+
+Per operation kind the loop accumulates a :class:`PhaseStats` —
+operation count, result volume, pool hits/misses and a
+:class:`~repro.disk.model.DiskStats` delta — plus, for sessions and
+traffic, a :class:`ClientStats` row per client or traffic class, and
+finishes with a ``flush`` phase that writes back the dirty frames
+through the pool's coalescing scheduler.  Under the
+:class:`~repro.iosched.scheduler.OverlapScheduler` every session's
+plans are timed on its own virtual-clock timeline, so declustered disks
+serve different sessions concurrently and the makespan drops below the
+serial response time.  With a tracer installed
+(:func:`repro.obs.trace.tracing`) all three runs emit the same session
+→ operation span tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -84,8 +94,40 @@ Operations are plain tuples:
 """
 
 
+class _LatencySample:
+    """Percentile properties over a ``latencies`` sample, shared by
+    :class:`PhaseStats` and :class:`ClientStats` (both declare the
+    ``latencies`` list and its ``_sorted`` cache)."""
+
+    __slots__ = ()
+
+    def sorted_latencies(self) -> list[float]:
+        """The latencies in ascending order, sorted once per report
+        (re-sorted only after new observations): percentile properties
+        on a 10^5-operation row must not re-sort the sample per access."""
+        cache = self._sorted
+        if cache is None or len(cache) != len(self.latencies):
+            cache = self._sorted = sorted(self.latencies)
+        return cache
+
+    @property
+    def p50_ms(self) -> float:
+        """Median per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.50)
+
+    @property
+    def p95_ms(self) -> float:
+        """95th-percentile per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.95)
+
+    @property
+    def p99_ms(self) -> float:
+        """99th-percentile per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.99)
+
+
 @dataclass(slots=True)
-class PhaseStats:
+class PhaseStats(_LatencySample):
     """Accumulated statistics of one operation kind within a workload.
 
     ``io`` accounts **device time** (the disk resource consumed; summed
@@ -103,9 +145,6 @@ class PhaseStats:
     io: DiskStats = field(default_factory=DiskStats)
     response_ms: float = 0.0
     latencies: list[float] = field(default_factory=list)
-    # Cached ascending copy of ``latencies`` (keyed on sample size):
-    # percentile properties on a 10^5-operation phase must not re-sort
-    # the full sample per access.
     _sorted: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -113,29 +152,6 @@ class PhaseStats:
     @property
     def hit_rate(self) -> float:
         return hit_ratio(self.hits, self.misses)
-
-    def sorted_latencies(self) -> list[float]:
-        """The phase's latencies in ascending order, sorted once per
-        report (re-sorted only after new observations)."""
-        cache = self._sorted
-        if cache is None or len(cache) != len(self.latencies):
-            cache = self._sorted = sorted(self.latencies)
-        return cache
-
-    @property
-    def p50_ms(self) -> float:
-        """Median per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.50)
-
-    @property
-    def p95_ms(self) -> float:
-        """95th-percentile per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.95)
-
-    @property
-    def p99_ms(self) -> float:
-        """99th-percentile per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.99)
 
     @property
     def overlap_ms(self) -> float:
@@ -265,9 +281,9 @@ class WorkloadReport:
 
 
 @dataclass(slots=True)
-class ClientStats:
+class ClientStats(_LatencySample):
     """One client session's share of a :meth:`WorkloadEngine.run_sessions`
-    workload.
+    workload, or one traffic class of a :meth:`WorkloadEngine.run_traffic`.
 
     ``response_ms`` is the time this client spent waiting for its own
     operations — under the overlap scheduler its virtual-clock session
@@ -287,33 +303,9 @@ class ClientStats:
     #: Sessions aggregated into this row (1 for a plain client; the
     #: per-class rows of a traffic run count their sessions here).
     sessions: int = 0
-    # Cached ascending copy of ``latencies`` (see PhaseStats._sorted).
     _sorted: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def sorted_latencies(self) -> list[float]:
-        """The client's latencies in ascending order, sorted once per
-        report (re-sorted only after new observations)."""
-        cache = self._sorted
-        if cache is None or len(cache) != len(self.latencies):
-            cache = self._sorted = sorted(self.latencies)
-        return cache
-
-    @property
-    def p50_ms(self) -> float:
-        """Median operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.50)
-
-    @property
-    def p95_ms(self) -> float:
-        """95th-percentile operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.95)
-
-    @property
-    def p99_ms(self) -> float:
-        """99th-percentile operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.99)
 
 
 @dataclass(slots=True)
@@ -501,91 +493,8 @@ class WorkloadEngine:
         report = WorkloadReport(
             policy=self.pool.policy, buffer_pages=self.pool.capacity
         )
-        scheduler = self._timed_scheduler()
-        tracer = _obs.ACTIVE
-        session_span = None
-        if tracer is not None:
-            tracer.use_virtual_clock(scheduler is not None)
-            tracer.set_track("main")
-            session_span = tracer.begin(
-                "session",
-                cat="session",
-                ts=0.0 if scheduler is not None else None,
-                parent=None,
-                args={"client": "main"},
-            )
-        prefetch_mark = self.pool.prefetch_stats()
-        phases: dict[str, PhaseStats] = {}
-        with self.storage.use_pool(self.pool):
-            for op in operations:
-                self._snapshot()
-                if scheduler is not None:
-                    started = scheduler.clock.client_time("main")
-                    op_span = self._begin_op(tracer, session_span, started)
-                    with scheduler.operation("main"):
-                        kind, results = self._execute(op)
-                    waited = scheduler.clock.client_time("main") - started
-                    self._end_op(tracer, op_span, kind, started + waited)
-                else:
-                    op_span = self._begin_op(tracer, session_span, None)
-                    kind, results = self._execute(op)
-                    self._end_op(tracer, op_span, kind, None)
-                    waited = None
-                phase = phases.get(kind)
-                if phase is None:
-                    phase = phases[kind] = PhaseStats(kind)
-                    report.phases.append(phase)
-                phase.operations += 1
-                phase.results += results
-                latency = self._account(phase, response_ms=waited)
-                phase.latencies.append(latency)
-                self.pool.metrics.histogram("op.latency_ms", phase=kind).observe(
-                    latency
-                )
-            self._flush_phase(report, scheduler)
-        self._fold_prefetch(report, prefetch_mark)
-        if tracer is not None:
-            tracer.end(session_span)
+        self._serve(report, [("main", None, list(operations), 0.0, 0.0)])
         return report
-
-    @staticmethod
-    def _begin_op(tracer, session_span, started):
-        """Open an operation span under the client's session span; the
-        kind is only known after execution, so it starts as ``op`` and
-        :meth:`_end_op` renames it."""
-        if tracer is None:
-            return None
-        if started is not None:
-            tracer.virtual_now = started
-        return tracer.begin(
-            "op", cat="operation", ts=started, parent=session_span
-        )
-
-    @staticmethod
-    def _end_op(tracer, op_span, kind, finished):
-        if tracer is None:
-            return
-        op_span.name = kind
-        tracer.end(op_span, ts=finished)
-
-    def _fold_prefetch(self, report: WorkloadReport, mark) -> None:
-        """Record the run's prefetch accuracy delta in the report."""
-        now = self.pool.prefetch_stats()
-        report.prefetch_issued = now["issued"] - mark["issued"]
-        report.prefetch_pages = now["pages"] - mark["pages"]
-        report.prefetch_useful = now["useful"] - mark["useful"]
-        report.prefetch_wasted = now["wasted"] - mark["wasted"]
-
-    def _timed_scheduler(self) -> OverlapScheduler | None:
-        """The pool's scheduler when it times operations on a virtual
-        clock (reset so this run measures from zero — stale disk queues
-        and client timelines from earlier traffic must not leak into
-        the makespan), else ``None``."""
-        scheduler = self.pool.scheduler
-        if isinstance(scheduler, OverlapScheduler):
-            scheduler.reset()
-            return scheduler
-        return None
 
     def run_sessions(self, sessions, admission=None) -> SessionsReport:
         """Execute several client streams as interleaved sessions.
@@ -613,131 +522,19 @@ class WorkloadEngine:
         virtual clock, so requesting it under the sync scheduler is a
         configuration error.  The per-client statistics carry each
         session's accumulated queueing delay and per-operation latency
-        percentiles (p50/p95) either way.
+        percentiles (p50/p95) either way.  A name given twice is one
+        client: one virtual-clock timeline and one row, counting two
+        sessions.
         """
-        pairs = (
-            list(sessions.items())
-            if isinstance(sessions, dict)
-            else [(name, ops) for name, ops in sessions]
-        )
-        admission_policy = make_admission(admission)
-        scheduler = self._timed_scheduler()
-        timed = scheduler is not None
-        if admission_policy is not None and not timed:
-            raise ConfigurationError(
-                "admission control needs the overlap scheduler — "
-                "admission delays live on the virtual clock"
-            )
-        previous_admission = scheduler.admission if timed else None
-        if admission_policy is not None:
-            scheduler.admission = admission_policy
-            admission_policy.reset()
+        pairs = sessions.items() if isinstance(sessions, dict) else sessions
+        streams = [(str(name), str(name), list(ops), 0.0, 0.0) for name, ops in pairs]
+        names = dict.fromkeys(name for name, *_ in streams)
         report = SessionsReport(
             policy=self.pool.policy,
             buffer_pages=self.pool.capacity,
-            scheduler=scheduler_name(self.pool.scheduler),
-            admission=admission_name(
-                scheduler.admission if timed else None
-            ),
+            clients=[ClientStats(name) for name in names],
         )
-        phases: dict[str, PhaseStats] = {}
-        clients: list[ClientStats] = []
-        queues: list[tuple[ClientStats, deque]] = []
-        for name, ops in pairs:
-            stats = ClientStats(str(name))
-            clients.append(stats)
-            queues.append((stats, deque(ops)))
-        report.clients = clients
-        tracer = _obs.ACTIVE
-        session_spans: dict[str, object] = {}
-        if tracer is not None:
-            tracer.use_virtual_clock(timed)
-            for client in clients:
-                session_spans[client.name] = tracer.begin(
-                    "session",
-                    cat="session",
-                    track=client.name,
-                    ts=0.0 if timed else None,
-                    parent=None,
-                    args={"client": client.name},
-                )
-        prefetch_mark = self.pool.prefetch_stats()
-        try:
-            with self.storage.use_pool(self.pool):
-                while any(queue for _, queue in queues):
-                    for client, queue in queues:
-                        if not queue:
-                            continue
-                        op = queue.popleft()
-                        self._snapshot()
-                        if tracer is not None:
-                            tracer.set_track(client.name)
-                        if timed:
-                            started = scheduler.clock.client_time(client.name)
-                            queued_mark = scheduler.client_queueing_ms(
-                                client.name
-                            )
-                            op_span = self._begin_op(
-                                tracer, session_spans.get(client.name), started
-                            )
-                            with scheduler.operation(client.name):
-                                kind, results = self._execute(op)
-                            waited = (
-                                scheduler.clock.client_time(client.name)
-                                - started
-                            )
-                            self._end_op(tracer, op_span, kind, started + waited)
-                            client.queueing_ms += (
-                                scheduler.client_queueing_ms(client.name)
-                                - queued_mark
-                            )
-                        else:
-                            op_span = self._begin_op(
-                                tracer, session_spans.get(client.name), None
-                            )
-                            kind, results = self._execute(op)
-                            self._end_op(tracer, op_span, kind, None)
-                            waited = self.storage.disk.cost_since(
-                                self._measure_mark
-                            ).response_ms
-                        phase = phases.get(kind)
-                        if phase is None:
-                            phase = phases[kind] = PhaseStats(kind)
-                            report.phases.append(phase)
-                        phase.operations += 1
-                        phase.results += results
-                        device_before = phase.io.total_ms
-                        self._account(phase, response_ms=waited)
-                        phase.latencies.append(waited)
-                        client.operations += 1
-                        client.results += results
-                        client.response_ms += waited
-                        client.latencies.append(waited)
-                        client.device_ms += phase.io.total_ms - device_before
-                        self.pool.metrics.histogram(
-                            "op.latency_ms", client=client.name
-                        ).observe(waited)
-                self._flush_phase(report, scheduler)
-        finally:
-            if admission_policy is not None:
-                scheduler.admission = previous_admission
-        self._fold_prefetch(report, prefetch_mark)
-        if timed:
-            report.makespan_ms = scheduler.clock.makespan
-        else:
-            report.makespan_ms = report.total_response_ms
-        if tracer is not None:
-            for client in clients:
-                span = session_spans.get(client.name)
-                if span is not None:
-                    tracer.end(
-                        span,
-                        ts=(
-                            scheduler.clock.client_time(client.name)
-                            if timed
-                            else None
-                        ),
-                    )
+        self._serve(report, streams, report.clients, "client", admission)
         return report
 
     def run_traffic(self, sessions, admission=None, arrival="poisson") -> TrafficReport:
@@ -764,9 +561,10 @@ class WorkloadEngine:
         registry carry the full latency distributions (p50/p95/p99) —
         and the scheduler's per-client metrics mirroring is suspended
         for the run so 10^5 generated names don't flood the registry.
-        Traffic needs the overlap scheduler; per-operation span tracing
-        is not emitted (a 10^5-session trace would be unreadable —
-        use :meth:`run_sessions` for traced small-scale replays).
+        Traffic needs the overlap scheduler.  With a tracer installed
+        the run is traced like :meth:`run_sessions`: one ``session``
+        span per session, opened at its arrival, with one operation
+        span per operation beneath it.
 
         ``admission`` installs an admission policy for this run only,
         exactly as in :meth:`run_sessions` — but here a throttled
@@ -775,71 +573,150 @@ class WorkloadEngine:
         genuinely overtakes paced bulk work.  ``arrival`` labels the
         report.
         """
-        sessions = list(sessions)
-        scheduler = self._timed_scheduler()
-        if scheduler is None:
+        streams = [
+            (s.name, s.klass, s.operations, s.arrival_ms, s.think_ms)
+            for s in sessions
+        ]
+        report = TrafficReport(
+            policy=self.pool.policy,
+            buffer_pages=self.pool.capacity,
+            arrival=arrival,
+            sessions=len(streams),
+        )
+        self._serve(report, streams, report.classes, "class", admission, paced=True)
+        return report
+
+    def _serve(
+        self,
+        report: WorkloadReport,
+        sessions: list[tuple],
+        rows: list[ClientStats] | None = None,
+        label: str = "phase",
+        admission=None,
+        paced: bool = False,
+    ) -> None:
+        """The one operation loop behind every run.
+
+        ``sessions`` holds ``(name, row_key, operations, arrival_ms,
+        think_ms)`` tuples.  One heap of ``(key, index, step,
+        first_ready)`` entries orders the operations: round-robin runs
+        key on the turn number (the session's step — so ties break in
+        session order), ``paced`` runs on the ready time (arrival, then
+        previous completion plus think time), measuring each latency
+        from ``first_ready``, the time the operation first became ready.
+
+        Per operation the report's phase row and — when ``rows`` is
+        given — the ``row_key`` row of ``rows`` accumulate; latencies
+        go to the pool's ``op.latency_ms{label=...}`` histogram, keyed
+        by the phase when there are no rows.  With rows, the report is
+        a sessions or traffic report and also gets its scheduler and
+        admission names and makespan.  The virtual clock is reset so
+        the run measures from zero — stale disk queues and client
+        timelines from earlier traffic must not leak into the makespan.
+        """
+        policy = make_admission(admission)
+        scheduler = self.pool.scheduler
+        timed = isinstance(scheduler, OverlapScheduler)
+        if timed:
+            scheduler.reset()
+            clock = scheduler.clock
+            saved = scheduler.admission, scheduler.metrics
+        elif paced:
             raise ConfigurationError(
                 "traffic runs need the overlap scheduler — arrivals and "
                 "queueing live on the virtual clock"
             )
-        admission_policy = make_admission(admission)
-        previous_admission = scheduler.admission
-        if admission_policy is not None:
-            scheduler.admission = admission_policy
-            admission_policy.reset()
-        saved_metrics = scheduler.metrics
-        scheduler.metrics = None
-        report = TrafficReport(
-            policy=self.pool.policy,
-            buffer_pages=self.pool.capacity,
-            scheduler=scheduler_name(self.pool.scheduler),
-            admission=admission_name(scheduler.admission),
-            arrival=arrival,
-            sessions=len(sessions),
-        )
-        phases: dict[str, PhaseStats] = {}
-        classes: dict[str, ClientStats] = {}
-        class_hists: dict[str, object] = {}
-        clock = scheduler.clock
-        # Event heap of (ready_ms, session_index, operation_index,
-        # first_ready_ms) — the last element survives admission
-        # re-queues so latency stays measured from the time the
-        # operation first became ready.
-        heap = [
-            (s.arrival_ms, i, 0, s.arrival_ms)
-            for i, s in enumerate(sessions)
-            if s.operations
-        ]
+        elif policy is not None:
+            raise ConfigurationError(
+                "admission control needs the overlap scheduler — "
+                "admission delays live on the virtual clock"
+            )
+        if policy is not None:
+            scheduler.admission = policy
+            policy.reset()
+        if paced:
+            # 10^5 generated session names must not flood the registry.
+            scheduler.metrics = None
+        if rows is not None:
+            report.scheduler = scheduler_name(scheduler)
+            report.admission = admission_name(scheduler.admission if timed else None)
+        tracer = _obs.ACTIVE
+        spans = []
+        if tracer is not None:
+            tracer.use_virtual_clock(timed)
+            spans = [
+                tracer.begin(
+                    "session",
+                    cat="session",
+                    track=name,
+                    ts=arrival if timed else None,
+                    parent=None,
+                    args={"client": name},
+                )
+                for name, _, _, arrival, _ in sessions
+            ]
+        heap = []
+        for index, (_, _, ops, arrival, _) in enumerate(sessions):
+            if ops:
+                key = arrival if paced else 0
+                heap.append((key, index, 0, key))
         heapify(heap)
+        phases: dict[str, PhaseStats] = {}
+        by_key = {row.name: row for row in rows or ()}
+        histograms: dict = {}
         prefetch_mark = self.pool.prefetch_stats()
         try:
             with self.storage.use_pool(self.pool):
                 while heap:
-                    ready, index, step, first_ready = heappop(heap)
-                    session = sessions[index]
-                    name = session.name
-                    admission = scheduler.admission
-                    if admission is not None:
-                        # A throttled operation re-enters the event
-                        # queue at its admitted time instead of holding
-                        # its slot, so other clients' ready work
-                        # overtakes it — the reordering that lets
-                        # interactive operations pass paced bulk work.
-                        # (Token buckets admit idempotently: when the
-                        # re-queued event pops, the drained bucket has
-                        # refilled to exactly zero and the scheduler's
-                        # own admit adds no second wait.)
-                        admitted = admission.admit(name, ready, clock)
-                        if admitted > ready:
-                            heappush(heap, (admitted, index, step, first_ready))
-                            continue
-                    clock.wait(name, ready)
-                    queued_mark = scheduler.client_queueing_ms(name)
+                    key, index, step, first_ready = heappop(heap)
+                    name, row_key, ops, _, think_ms = sessions[index]
+                    if paced:
+                        gate = scheduler.admission
+                        if gate is not None:
+                            # A throttled operation re-enters the event
+                            # queue at its admitted time instead of
+                            # holding its slot, so other clients' ready
+                            # work overtakes it — the reordering that
+                            # lets interactive operations pass paced
+                            # bulk work.  (Token buckets admit
+                            # idempotently: when the re-queued event
+                            # pops, the drained bucket has refilled to
+                            # exactly zero and the scheduler's own admit
+                            # adds no second wait.)
+                            admitted = gate.admit(name, key, clock)
+                            if admitted > key:
+                                heappush(heap, (admitted, index, step, first_ready))
+                                continue
+                        clock.wait(name, key)
                     self._snapshot()
-                    with scheduler.operation(name):
-                        kind, results = self._execute(session.operations[step])
-                    done = clock.client_time(name)
-                    waited = done - first_ready
+                    started = clock.client_time(name) if timed else None
+                    if tracer is not None:
+                        tracer.set_track(name)
+                        if timed:
+                            tracer.virtual_now = started
+                        op_span = tracer.begin(
+                            "op", cat="operation", ts=started, parent=spans[index]
+                        )
+                    if timed:
+                        if paced:
+                            ready = key
+                        else:
+                            ready = first_ready = started
+                        queued_mark = scheduler.client_queueing_ms(name)
+                        with scheduler.operation(name):
+                            kind, results = self._execute(ops[step])
+                        done = clock.client_time(name)
+                        waited = done - first_ready
+                        queued = (scheduler.client_queueing_ms(name) - queued_mark) + (
+                            ready - first_ready
+                        )
+                    else:
+                        kind, results = self._execute(ops[step])
+                        waited = None
+                    if tracer is not None:
+                        # The kind is only known after execution.
+                        op_span.name = kind
+                        tracer.end(op_span, ts=first_ready + waited if timed else None)
                     phase = phases.get(kind)
                     if phase is None:
                         phase = phases[kind] = PhaseStats(kind)
@@ -847,40 +724,48 @@ class WorkloadEngine:
                     phase.operations += 1
                     phase.results += results
                     device_before = phase.io.total_ms
-                    self._account(phase, response_ms=waited)
-                    phase.latencies.append(waited)
-                    klass = classes.get(session.klass)
-                    if klass is None:
-                        klass = classes[session.klass] = ClientStats(
-                            session.klass
+                    latency = self._account(phase, response_ms=waited)
+                    phase.latencies.append(latency)
+                    if rows is not None:
+                        row = by_key.get(row_key)
+                        if row is None:
+                            row = by_key[row_key] = ClientStats(row_key)
+                            rows.append(row)
+                        if step == 0:
+                            row.sessions += 1
+                        row.operations += 1
+                        row.results += results
+                        row.response_ms += latency
+                        row.latencies.append(latency)
+                        if timed:
+                            row.queueing_ms += queued
+                        row.device_ms += phase.io.total_ms - device_before
+                    tag = kind if rows is None else row_key
+                    histogram = histograms.get(tag)
+                    if histogram is None:
+                        histogram = histograms[tag] = self.pool.metrics.histogram(
+                            "op.latency_ms", **{label: tag}
                         )
-                        report.classes.append(klass)
-                        class_hists[session.klass] = self.pool.metrics.histogram(
-                            "op.latency_ms", **{"class": session.klass}
-                        )
-                    if step == 0:
-                        klass.sessions += 1
-                    klass.operations += 1
-                    klass.results += results
-                    klass.response_ms += waited
-                    klass.latencies.append(waited)
-                    klass.queueing_ms += (
-                        scheduler.client_queueing_ms(name) - queued_mark
-                    ) + (ready - first_ready)
-                    klass.device_ms += phase.io.total_ms - device_before
-                    class_hists[session.klass].observe(waited)
+                    histogram.observe(latency)
                     step += 1
-                    if step < len(session.operations):
-                        follow_up = done + session.think_ms
-                        heappush(heap, (follow_up, index, step, follow_up))
-                self._flush_phase(report, scheduler)
+                    if step < len(ops):
+                        key = done + think_ms if paced else step
+                        heappush(heap, (key, index, step, key))
+                self._flush_phase(report, scheduler if timed else None)
         finally:
-            scheduler.metrics = saved_metrics
-            if admission_policy is not None:
-                scheduler.admission = previous_admission
-        self._fold_prefetch(report, prefetch_mark)
-        report.makespan_ms = clock.makespan
-        return report
+            if timed:
+                scheduler.admission, scheduler.metrics = saved
+        prefetch = self.pool.prefetch_stats()
+        report.prefetch_issued = prefetch["issued"] - prefetch_mark["issued"]
+        report.prefetch_pages = prefetch["pages"] - prefetch_mark["pages"]
+        report.prefetch_useful = prefetch["useful"] - prefetch_mark["useful"]
+        report.prefetch_wasted = prefetch["wasted"] - prefetch_mark["wasted"]
+        if rows is not None:
+            report.makespan_ms = clock.makespan if timed else report.total_response_ms
+        # Reverse opening order: each end pops the tracer's stack top
+        # (forward order would search the stack — O(n^2) at 10^5).
+        for session, span in zip(reversed(sessions), reversed(spans)):
+            tracer.end(span, ts=clock.client_time(session[0]) if timed else None)
 
     def _flush_phase(
         self, report: WorkloadReport, scheduler: OverlapScheduler | None = None

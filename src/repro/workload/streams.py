@@ -11,6 +11,8 @@ rather than phase by phase.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from repro.data.workload import point_workload, window_workload
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
@@ -68,11 +70,7 @@ def mixed_stream(
         [("insert", obj) for obj in (inserts or [])],
         [("delete", oid) for oid in (deletes or [])],
     ]
-    stream: list[tuple] = []
-    while any(queues):
-        for queue in queues:
-            if queue:
-                stream.append(queue.pop(0))
+    stream = [op for turn in zip_longest(*queues) for op in turn if op is not None]
     if join_with is not None:
         stream.append(("join", join_with, join_technique))
     return stream
